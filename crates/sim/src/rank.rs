@@ -19,6 +19,24 @@ use std::sync::Arc;
 /// Tag space reserved for internal collective traffic.
 const INTERNAL_BASE: u64 = 1 << 40;
 
+/// Bits of a collective tag holding the step within one collective call
+/// (ring and pairwise collectives run up to `p - 2` / `p - 1` steps).
+const ROUND_BITS: u32 = 24;
+
+/// Bits of a collective tag naming the collective kind.
+const OP_BITS: u32 = 3;
+
+/// The tag of step `round` of collective kind `op` in this rank's
+/// `seq`-th collective call: `seq`, `op` and `round` occupy disjoint bit
+/// fields above [`INTERNAL_BASE`], so no two calls or steps share a tag,
+/// and the step sits in the low bits (the mailbox slot index is
+/// `round % 64`).
+fn coll_tag(seq: u64, op: u64, round: u64) -> u64 {
+    debug_assert!(round < 1 << ROUND_BITS, "collective step {round} overflows its tag field");
+    debug_assert!(op < 1 << OP_BITS, "collective kind {op} overflows its tag field");
+    INTERNAL_BASE + ((seq << OP_BITS | op) << ROUND_BITS | round)
+}
+
 /// Execution phases, for MPE-style attribution (§6.2 uses MPE logging to
 /// find where time goes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -484,7 +502,7 @@ impl Rank {
     // ----- collectives ----------------------------------------------------
 
     fn next_coll_tag(&self, op: u64, round: u64) -> u64 {
-        INTERNAL_BASE + self.seq.get() * 64 + op * 8 + round
+        coll_tag(self.seq.get(), op, round)
     }
 
     fn finish_coll(&self) {
@@ -791,6 +809,34 @@ mod tests {
         });
         assert_eq!(out[0], b"hello");
         assert_eq!(out[1], b"hello");
+    }
+
+    #[test]
+    fn collective_tags_never_alias() {
+        // Inverse of `coll_tag`: recovering the triple from the tag proves
+        // the packing injective over everything checked here.
+        let decode = |tag: u64| {
+            let x = tag - INTERNAL_BASE;
+            let round = x & ((1 << ROUND_BITS) - 1);
+            let op = x >> ROUND_BITS & ((1 << OP_BITS) - 1);
+            (x >> (ROUND_BITS + OP_BITS), op, round)
+        };
+        for seq in [0, 7, 1 << 30] {
+            for op in 0..7 {
+                for round in 0..1u64 << 20 {
+                    let tag = coll_tag(seq, op, round);
+                    assert!(tag >= INTERNAL_BASE, "collective tag below the user range");
+                    assert_eq!(decode(tag), (seq, op, round));
+                    assert_eq!(tag % 64, round % 64, "slot index is not the step");
+                }
+            }
+        }
+        // The case the old `seq * 64 + op * 8 + round` layout aliased at
+        // p = 1024: allgatherv step 73 of call n and alltoallv step 1 of
+        // call n + 1, both on channel r - 1 -> r.
+        let n = 5;
+        assert_eq!(n * 64 + 2 * 8 + 73, (n + 1) * 64 + 3 * 8 + 1);
+        assert_ne!(coll_tag(n, 2, 73), coll_tag(n + 1, 3, 1));
     }
 
     #[test]

@@ -101,18 +101,95 @@ impl Hasher for TagHasher {
 
 type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
 
-/// One rank's incoming-message store. Only the overflow path — deliveries
-/// that found no matching parked receiver — lands here; the mutex also
-/// carries cross-shard queue/pop ordering under the sharded pool (only
-/// one shard dispatches at a time, so it is never contended on the
-/// simulation's critical path).
+/// Inline mailbox slots per rank, indexed by `tag % MAILBOX_SLOTS`.
+/// Collective tags carry their step in the low bits, and measured
+/// alltoallv senders stay well under 64 steps ahead of their receivers,
+/// so almost every queued message lands in a slot; only the deep
+/// allgatherv ring spills to the overflow map.
+const MAILBOX_SLOTS: usize = 64;
+
+/// A queued message and the `(src, tag)` key it was sent on.
+struct Slot {
+    src: usize,
+    tag: u64,
+    msg: Msg,
+}
+
+/// The mutex-protected contents of a [`Mailbox`]: a fixed array of slots
+/// in front of the `(src, tag) → FIFO` overflow map.
+///
+/// FIFO invariant: for any key, a slot holds at most its *oldest* queued
+/// message. A delivery takes the key's slot only when the slot is free and
+/// the map holds no queue for the key; otherwise it appends to the map.
+/// So while a slot holds a key, every later message of that key sits
+/// behind it in the map, and a pop that checks the slot first returns
+/// messages of one key in arrival order.
+struct MailboxState {
+    slots: [Option<Slot>; MAILBOX_SLOTS],
+    overflow: QueueMap,
+}
+
+/// One rank's incoming-message store. Only deliveries that found no
+/// matching parked receiver land here. A slot hit costs no hashing and no
+/// allocation; a drained overflow queue is removed, so unique collective
+/// tags cannot grow the map without bound. The mutex also carries
+/// cross-shard queue/pop ordering under the sharded pool (only one shard
+/// dispatches at a time, so it is never contended on the simulation's
+/// critical path).
 pub(crate) struct Mailbox {
-    pub queues: Mutex<QueueMap>,
+    state: Mutex<MailboxState>,
 }
 
 impl Mailbox {
     fn new() -> Self {
-        Mailbox { queues: Mutex::new(QueueMap::default()) }
+        Mailbox {
+            state: Mutex::new(MailboxState {
+                slots: std::array::from_fn(|_| None),
+                overflow: QueueMap::default(),
+            }),
+        }
+    }
+
+    /// Queue `msg` from `(src, tag)` behind any earlier message of the
+    /// same key.
+    fn push(&self, src: usize, tag: u64, msg: Msg) {
+        let mut st = self.state.lock().unwrap();
+        let st = &mut *st;
+        let slot = &mut st.slots[tag as usize % MAILBOX_SLOTS];
+        if slot.is_none() && (st.overflow.is_empty() || !st.overflow.contains_key(&(src, tag))) {
+            *slot = Some(Slot { src, tag, msg });
+            return;
+        }
+        st.overflow.entry((src, tag)).or_default().push_back(msg);
+    }
+
+    /// Pop the oldest queued message from `(src, tag)`, if any: the slot
+    /// first (it holds the key's oldest message when it holds the key at
+    /// all), then the overflow map, removing a queue that this drains.
+    fn pop(&self, src: usize, tag: u64) -> Option<Msg> {
+        let mut st = self.state.lock().unwrap();
+        let slot = &mut st.slots[tag as usize % MAILBOX_SLOTS];
+        if slot.as_ref().is_some_and(|s| s.src == src && s.tag == tag) {
+            return slot.take().map(|s| s.msg);
+        }
+        if st.overflow.is_empty() {
+            return None;
+        }
+        if let Entry::Occupied(mut e) = st.overflow.entry((src, tag)) {
+            let m = e.get_mut().pop_front().expect("empty queue left in mailbox map");
+            if e.get().is_empty() {
+                e.remove();
+            }
+            return Some(m);
+        }
+        None
+    }
+
+    /// Drop everything queued.
+    fn clear(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.slots.iter_mut().for_each(|s| *s = None);
+        st.overflow.clear();
     }
 }
 
@@ -170,7 +247,7 @@ impl World {
     /// already-dead ranks.
     pub(crate) fn reap_rank(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::Relaxed);
-        self.mailboxes[rank].queues.lock().unwrap().clear();
+        self.mailboxes[rank].clear();
     }
 
     /// Number of ranks.
@@ -197,8 +274,7 @@ impl World {
         let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
             return;
         };
-        let mut queues = self.mailboxes[dst].queues.lock().unwrap();
-        queues.entry((src, tag)).or_default().push_back(msg);
+        self.mailboxes[dst].push(src, tag, msg);
     }
 
     /// Pop the next message from `(src, tag)` for rank `dst`, parking the
@@ -210,7 +286,7 @@ impl World {
             "recv outside the rank runtime (ranks only run inside flexio_sim::run)"
         );
         loop {
-            if let Some(m) = Self::pop_queued(&self.mailboxes[dst], src, tag) {
+            if let Some(m) = self.mailboxes[dst].pop(src, tag) {
                 return m;
             }
             // Parking resumes with the message in hand when the delivery
@@ -243,7 +319,7 @@ impl World {
             "recv_timeout outside the rank runtime (ranks only run inside flexio_sim::run)"
         );
         loop {
-            if let Some(m) = Self::pop_queued(&self.mailboxes[dst], src, tag) {
+            if let Some(m) = self.mailboxes[dst].pop(src, tag) {
                 return Some(m);
             }
             match crate::sched::park_for_recv(self, dst, src, tag, now, Some(deadline)) {
@@ -252,25 +328,10 @@ impl World {
                 // Re-check once: a delivery racing the timer entry would
                 // have been queued, not handed off.
                 crate::sched::ParkWake::TimedOut => {
-                    return Self::pop_queued(&self.mailboxes[dst], src, tag)
+                    return self.mailboxes[dst].pop(src, tag)
                 }
             }
         }
-    }
-
-    /// Pop the head of `(src, tag)` if present, removing the queue when
-    /// that drains it (drained queues are removed so unique collective
-    /// tags can't grow the map without bound).
-    fn pop_queued(mb: &Mailbox, src: usize, tag: u64) -> Option<Msg> {
-        let mut queues = mb.queues.lock().unwrap();
-        if let Entry::Occupied(mut e) = queues.entry((src, tag)) {
-            let m = e.get_mut().pop_front().expect("empty queue left in mailbox map");
-            if e.get().is_empty() {
-                e.remove();
-            }
-            return Some(m);
-        }
-        None
     }
 }
 
@@ -405,6 +466,59 @@ mod tests {
             });
             assert_eq!(ev, j, "seed={seed}");
         }
+    }
+
+    fn msg(b: u8) -> Msg {
+        Msg { data: vec![b], avail_at: b as u64 }
+    }
+
+    fn pop(mb: &Mailbox, src: usize, tag: u64) -> Option<u8> {
+        mb.pop(src, tag).map(|m| m.data[0])
+    }
+
+    #[test]
+    fn slot_then_overflow_pop_in_arrival_order() {
+        let mb = Mailbox::new();
+        mb.push(3, 70, msg(1)); // the key's slot
+        mb.push(3, 70, msg(2)); // slot busy: behind it in the map
+        assert_eq!(pop(&mb, 3, 70), Some(1));
+        assert_eq!(pop(&mb, 3, 70), Some(2));
+        assert_eq!(pop(&mb, 3, 70), None);
+    }
+
+    #[test]
+    fn colliding_keys_spill_and_slots_are_reused_in_order() {
+        let slot = 6;
+        let other_tag = slot + MAILBOX_SLOTS as u64;
+        let mb = Mailbox::new();
+        mb.push(1, slot, msg(1)); // takes the slot
+        mb.push(2, slot, msg(2)); // same slot, other source: map
+        mb.push(1, other_tag, msg(3)); // same slot, other tag: map
+        assert_eq!(pop(&mb, 2, slot), Some(2));
+        mb.push(1, other_tag, msg(4)); // slot still held by (1, slot): map
+        mb.push(1, other_tag, msg(5));
+        assert_eq!(pop(&mb, 1, slot), Some(1)); // frees the slot
+        // The slot is free, but (1, other_tag) still has a map queue, so
+        // the newer message must queue behind it, not jump into the slot.
+        mb.push(1, other_tag, msg(6));
+        assert_eq!(pop(&mb, 1, other_tag), Some(3));
+        assert_eq!(pop(&mb, 1, other_tag), Some(4));
+        assert_eq!(pop(&mb, 1, other_tag), Some(5));
+        assert_eq!(pop(&mb, 1, other_tag), Some(6));
+        // Map drained: the next delivery reuses the slot.
+        mb.push(1, other_tag, msg(7));
+        assert!(mb.state.lock().unwrap().overflow.is_empty());
+        assert_eq!(pop(&mb, 1, other_tag), Some(7));
+        assert_eq!(pop(&mb, 1, other_tag), None);
+    }
+
+    #[test]
+    fn clear_drops_slots_and_overflow() {
+        let mb = Mailbox::new();
+        mb.push(0, 1, msg(1));
+        mb.push(0, 1, msg(2));
+        mb.clear();
+        assert_eq!(pop(&mb, 0, 1), None);
     }
 
     #[test]

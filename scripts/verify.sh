@@ -26,6 +26,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
+# The benchmark harness is its own workspace (perfbench/Cargo.toml), so
+# the root test run above never builds or tests it. Its contract tests
+# run every workload at tiny scale and check the printed metric set
+# against BENCHMARK.json.
+echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$THOROUGH" = 1 ]; then
   echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="
   PROPTEST_CASES=512 cargo test -q --release --offline

@@ -23,8 +23,13 @@
 //! * A randomized **message-ordering property** over
 //!   `flexio_sim::prop`: per-`(src, tag)` FIFO order and full
 //!   bit-identity to the sequential loop across random world sizes,
-//!   shard counts, fanouts, and virtual-clock skews (regressions pinned
-//!   in `shard_determinism.proptest-regressions`).
+//!   shard counts (a drawn one plus 2, 4 and 7), fanouts, virtual-clock
+//!   skews and send/receive scripts (regressions pinned in
+//!   `shard_determinism.proptest-regressions`). Tags share a few residues
+//!   mod 64 (the mailbox slot index) and repeat in bursts, and receives
+//!   take part of a key's queue before parking on another key, so slot
+//!   hits, spills to the overflow map and slot reuse after a drain all
+//!   happen.
 
 use flexio::sim::{
     run_crashable_on, run_jittered, run_on, Backend, CostModel, Rank, Stats, XorShift64Star,
@@ -212,14 +217,61 @@ fn spurious_condvar_wakeups_cannot_double_dispatch() {
     }
 }
 
-/// Random parameters for the ordering property.
+/// One step of the ordering script: send or receive `n` messages on
+/// `tag` to/from the rank `d` places ahead/behind in the ring.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Send { d: usize, tag: u64, n: u8 },
+    Recv { d: usize, tag: u64, n: u8 },
+}
+
+/// Random parameters for the ordering property: every rank runs the same
+/// script of sends and receives.
 #[derive(Debug)]
 struct OrderCase {
     nprocs: usize,
     shards: usize,
-    rounds: u64,
-    fanout: usize,
     skew: u64,
+    /// Tags are drawn from a few residues mod 64 (the mailbox slot index),
+    /// so keys share slots, and each send is a burst on one `(src, tag)`.
+    /// A receive never takes more than the script has sent on its key so
+    /// far, so the script cannot deadlock; receives that take part of a
+    /// key's queue and then park on another key let the sender append to
+    /// that key while its older messages are still queued.
+    script: Vec<Op>,
+}
+
+impl OrderCase {
+    fn draw(rng: &mut XorShift64Star) -> OrderCase {
+        let nprocs = 2 + (rng.next_u64() % 9) as usize; // 2..=10
+        let shards = 1 + (rng.next_u64() % 8) as usize; // 1..=8
+        let fanout = (1 + (rng.next_u64() % 2) as usize).min(nprocs - 1); // 1..=2
+        let residues: Vec<u64> = (0..1 + rng.next_u64() % 3).map(|_| rng.next_u64() % 64).collect();
+        let mut pending = std::collections::BTreeMap::<(usize, u64), u8>::new();
+        let mut script = Vec::new();
+        for _ in 0..4 + rng.next_u64() % 21 {
+            let d = 1 + (rng.next_u64() % fanout as u64) as usize;
+            let residue = residues[(rng.next_u64() % residues.len() as u64) as usize];
+            let tag = residue + 64 * (rng.next_u64() % 3);
+            let queued = pending.get(&(d, tag)).copied().unwrap_or(0);
+            if queued > 0 && rng.next_u64().is_multiple_of(2) {
+                let n = 1 + (rng.next_u64() % queued as u64) as u8;
+                pending.insert((d, tag), queued - n);
+                script.push(Op::Recv { d, tag, n });
+            } else {
+                let n = 1 + (rng.next_u64() % 4) as u8;
+                pending.insert((d, tag), queued + n);
+                script.push(Op::Send { d, tag, n });
+            }
+        }
+        // Drain whatever is still queued.
+        for ((d, tag), n) in pending {
+            if n > 0 {
+                script.push(Op::Recv { d, tag, n });
+            }
+        }
+        OrderCase { nprocs, shards, skew: rng.next_u64() % 97, script }
+    }
 }
 
 #[test]
@@ -228,51 +280,52 @@ fn cross_shard_message_order_matches_event_loop() {
         return;
     }
     flexio::sim::prop::Runner::new("cross_shard_message_order")
-        .cases(24)
+        .cases(48)
         .regressions(include_str!("shard_determinism.proptest-regressions"))
-        .run(
-            |rng: &mut XorShift64Star| OrderCase {
-                nprocs: 2 + (rng.next_u64() % 9) as usize, // 2..=10
-                shards: 1 + (rng.next_u64() % 8) as usize, // 1..=8
-                rounds: 1 + rng.next_u64() % 6,            // 1..=6
-                fanout: 1 + (rng.next_u64() % 3) as usize, // 1..=3
-                skew: rng.next_u64() % 97,
-            },
-            |c: &OrderCase| {
-                let (p, rounds, skew) = (c.nprocs, c.rounds, c.skew);
-                let fanout = c.fanout.min(p - 1).max(1);
-                let body = move |r: &Rank| {
-                    // Seeded per-rank clock skew decorrelates dispatch
-                    // order from rank order.
-                    r.advance(r.rank() as u64 * skew % 61);
-                    for d in 1..=fanout {
-                        let dst = (r.rank() + d) % p;
-                        for s in 0..rounds {
-                            r.advance(skew % (7 + d as u64));
-                            r.send(dst, d as u64, &[r.rank() as u8, d as u8, s as u8]);
+        .run(OrderCase::draw, |c: &OrderCase| {
+            let (p, skew) = (c.nprocs, c.skew);
+            let body = |r: &Rank| {
+                // Seeded per-rank clock skew decorrelates dispatch order
+                // from rank order, so receivers run ahead of senders too.
+                r.advance(r.rank() as u64 * skew % 61);
+                let mut sent = std::collections::BTreeMap::<(usize, u64), u8>::new();
+                let mut got = sent.clone();
+                let mut log = Vec::new();
+                for &op in &c.script {
+                    match op {
+                        Op::Send { d, tag, n } => {
+                            let k = sent.entry((d, tag)).or_default();
+                            for _ in 0..n {
+                                r.advance(skew % (5 + d as u64));
+                                r.send((r.rank() + d) % p, tag, &[r.rank() as u8, *k]);
+                                *k += 1;
+                            }
+                        }
+                        Op::Recv { d, tag, n } => {
+                            let src = (r.rank() + p - d) % p;
+                            let k = got.entry((d, tag)).or_default();
+                            for _ in 0..n {
+                                // Per-(src, tag) FIFO: the n-th message
+                                // received on a key is the n-th sent.
+                                let m = r.recv(src, tag);
+                                assert_eq!(
+                                    m,
+                                    vec![src as u8, *k],
+                                    "rank {} saw out-of-order delivery from {src} tag {tag}",
+                                    r.rank()
+                                );
+                                *k += 1;
+                                log.extend(m);
+                            }
                         }
                     }
-                    let mut log = Vec::new();
-                    for d in 1..=fanout {
-                        let src = (r.rank() + p - d) % p;
-                        for s in 0..rounds {
-                            let m = r.recv(src, d as u64);
-                            // Per-(src, tag) FIFO: sequence numbers must
-                            // arrive in send order on every backend.
-                            assert_eq!(
-                                m,
-                                vec![src as u8, d as u8, s as u8],
-                                "rank {} saw out-of-order delivery from {src} tag {d}",
-                                r.rank()
-                            );
-                            log.extend(m);
-                        }
-                    }
-                    (r.now(), r.stats(), log)
-                };
-                let ev = run_on(Backend::EventLoop, p, CostModel::default(), body);
-                let sh = run_on(Backend::Sharded(c.shards), p, CostModel::default(), body);
-                assert_eq!(ev, sh, "case {c:?}: sharded run diverges from the event loop");
-            },
-        );
+                }
+                (r.now(), r.stats(), log)
+            };
+            let ev = run_on(Backend::EventLoop, p, CostModel::default(), body);
+            for k in [c.shards, 2, 4, 7] {
+                let sh = run_on(Backend::Sharded(k), p, CostModel::default(), body);
+                assert_eq!(ev, sh, "case {c:?}: {k}-shard run diverges from the event loop");
+            }
+        });
 }
