@@ -10,8 +10,8 @@
 //!
 //! Scope notes:
 //!
-//! * x86_64 only (gated in `lib.rs`); other architectures fall back to the
-//!   threaded runtime. The switch saves rbx/rbp/r12–r15/rsp — the SysV
+//! * x86_64 only: `lib.rs` refuses to compile the crate for other
+//!   architectures. The switch saves rbx/rbp/r12–r15/rsp — the SysV
 //!   callee-saved set. mxcsr and the x87 control word are not saved:
 //!   nothing in this workspace (or in code the simulator can call) changes
 //!   rounding modes mid-rank.
@@ -19,7 +19,7 @@
 //!   checked on every return to the scheduler. malloc-backed stacks commit
 //!   lazily, so thousands of mostly-idle ranks cost virtual address space,
 //!   not resident memory. There is no guard page; the canary plus a
-//!   generous default size (1 MiB, `FLEXIO_SIM_STACK_KB`) stands in.
+//!   generous fixed size (1 MiB per rank) stands in.
 
 use std::alloc::{alloc, dealloc, Layout};
 
@@ -27,6 +27,13 @@ use std::alloc::{alloc, dealloc, Layout};
 /// chain runs the stack down this far the scheduler panics instead of
 /// silently corrupting the neighbouring allocation any further.
 const STACK_CANARY: u64 = 0xf1be_c0de_dead_5afe;
+
+/// Every fiber's stack size: 1 MiB of (lazily committed) address space.
+pub(crate) const STACK_BYTES: usize = 1 << 20;
+
+// `prepare` writes the initial register image below a 16-aligned top, and
+// the canary sits at the base: both need a 16-multiple of at least a page.
+const _: () = assert!(STACK_BYTES.is_multiple_of(16) && STACK_BYTES >= 4096);
 
 /// A saved execution context: just the stack pointer. All register state
 /// lives on the stack it points into.
@@ -97,15 +104,24 @@ unsafe extern "C" fn fiber_entry() {
 
 /// Body of every fiber. Runs the payload (which catches unwinds and does
 /// all scheduler bookkeeping), then switches to the scheduler forever.
+///
+/// # Safety
+/// Entered only through [`fiber_entry`], with the live payload pointer
+/// that [`prepare`] placed in the fiber's initial register image.
 unsafe extern "C" fn fiber_main(p: *mut Payload) -> ! {
     {
+        // SAFETY: `p` is the boxed payload `prepare` threaded through r12;
+        // the scheduler keeps it alive until the fiber is done.
         let payload = unsafe { &mut *p };
         let run = payload.run.take().expect("fiber started twice");
         // `run` is responsible for catching panics; letting one unwind out
         // of this extern "C" frame would abort the process.
         run();
     }
+    // SAFETY: as above; the payload borrow has ended.
     let (save, host) = unsafe { (*p).final_ctx };
+    // SAFETY: `host` is the scheduler context that resumed this fiber
+    // last, and `save` is this fiber's own slot, never resumed again.
     unsafe { switch_stacks(save, host) };
     // A completed fiber must never be resumed.
     std::process::abort();
@@ -118,14 +134,11 @@ pub(crate) struct FiberStack {
 }
 
 impl FiberStack {
-    pub fn new(size: usize) -> FiberStack {
-        // Round to 16 so the top is aligned, and leave room for the canary
-        // plus the initial register image even under silly env overrides.
-        let size = size.max(4096).next_multiple_of(16);
-        let layout = Layout::from_size_align(size, 16).expect("fiber stack layout");
+    pub fn new() -> FiberStack {
+        let layout = Layout::from_size_align(STACK_BYTES, 16).expect("fiber stack layout");
         // SAFETY: layout has non-zero size.
         let base = unsafe { alloc(layout) };
-        assert!(!base.is_null(), "fiber stack allocation failed ({size} bytes)");
+        assert!(!base.is_null(), "fiber stack allocation failed ({STACK_BYTES} bytes)");
         // SAFETY: base is 16-aligned and at least 4096 bytes.
         unsafe { (base as *mut u64).write(STACK_CANARY) };
         FiberStack { base, layout }
@@ -149,6 +162,8 @@ impl Drop for FiberStack {
 /// Build the initial context for a fresh fiber on `stack`: the first
 /// switch into it `ret`s to [`fiber_entry`] with `payload` in r12.
 pub(crate) fn prepare(stack: &FiberStack, payload: *mut Payload) -> Context {
+    // SAFETY: the stack is a live allocation of `STACK_BYTES` (>= 4096,
+    // a multiple of 16), so the seven words below its top are in bounds.
     unsafe {
         let top = stack.base.add(stack.layout.size());
         debug_assert_eq!(top as usize % 16, 0);

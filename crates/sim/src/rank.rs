@@ -1,8 +1,7 @@
 //! Per-rank handle: point-to-point messaging, collectives, virtual clock.
 //!
 //! Each rank owns a virtual clock (ns) and runs as a fiber of the rank
-//! scheduler — one host thread, or a sharded pool of them with identical
-//! results (see [`crate::Backend`]).
+//! scheduler's event loop.
 //! Message timing follows an alpha/beta model; computation is charged
 //! explicitly by the layers above (offset/length-pair processing, buffer
 //! copies, file-system service times). A receive completes at

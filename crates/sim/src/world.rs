@@ -1,4 +1,4 @@
-//! The shared world: mailboxes, backend selection, rank dispatch.
+//! The shared world: mailboxes, crash state, and the `run` entry points.
 
 use crate::cost::CostModel;
 use std::collections::hash_map::Entry;
@@ -12,55 +12,6 @@ use std::sync::{Arc, Mutex};
 /// the rank dead (reaping its mailbox), and keeps driving the survivors —
 /// the simulation analogue of a crash-stop process failure.
 pub(crate) struct CrashStop;
-
-/// Which rank runtime drives a world's ranks. Both are the same fiber
-/// scheduler; they differ only in how many host threads drive it, and
-/// they produce bit-identical clocks, Stats, and bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// One host thread drives every rank as a cooperatively-scheduled
-    /// fiber over virtual time, lowest clock first (deterministic by
-    /// construction; supports thousands of ranks per process). The
-    /// default.
-    EventLoop,
-    /// A pool of `n` host threads, ranks partitioned by id into
-    /// contiguous shards, cross-shard delivery through gate-protected
-    /// inboxes, dispatch serialized on the global minimum key
-    /// (`FLEXIO_SIM_SHARDS=n`; clamped to `1..=nprocs`). Bit-identical
-    /// to [`Backend::EventLoop`] regardless of shard count or host-
-    /// thread interleaving; spreads scheduler state across threads at
-    /// high rank counts.
-    Sharded(usize),
-}
-
-impl Backend {
-    /// The backend `run` uses: an `n`-shard pool when `FLEXIO_SIM_SHARDS`
-    /// is set to `n >= 2`, the sequential event loop otherwise (`0` and
-    /// `1` mean sequential too).
-    pub fn from_env() -> Backend {
-        match std::env::var("FLEXIO_SIM_SHARDS") {
-            Ok(v) => {
-                let n: usize = v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("FLEXIO_SIM_SHARDS must be a shard count, got {v:?}"));
-                if n >= 2 {
-                    Backend::Sharded(n)
-                } else {
-                    Backend::EventLoop
-                }
-            }
-            Err(_) => Backend::EventLoop,
-        }
-    }
-
-    /// Whether the fiber runtime is available on this build target (the
-    /// fiber layer is x86_64-only; since the thread-per-rank runtime's
-    /// retirement there is no fallback elsewhere).
-    pub fn event_loop_supported() -> bool {
-        cfg!(target_arch = "x86_64")
-    }
-}
 
 /// A message in flight: payload plus the virtual time it becomes available
 /// at the receiver.
@@ -132,10 +83,8 @@ struct MailboxState {
 /// One rank's incoming-message store. Only deliveries that found no
 /// matching parked receiver land here. A slot hit costs no hashing and no
 /// allocation; a drained overflow queue is removed, so unique collective
-/// tags cannot grow the map without bound. The mutex also carries
-/// cross-shard queue/pop ordering under the sharded pool (only one shard
-/// dispatches at a time, so it is never contended on the simulation's
-/// critical path).
+/// tags cannot grow the map without bound. The mutex keeps `World`
+/// `Sync`; only one rank runs at a time, so it is never contended.
 pub(crate) struct Mailbox {
     state: Mutex<MailboxState>,
 }
@@ -267,10 +216,9 @@ impl World {
             return;
         }
         // Fast path: a receiver already parked on exactly `(src, tag)`
-        // gets the message handed to it directly (same-shard: lock-free
-        // slot; cross-shard: gate inbox). When it is parked, its queue is
-        // provably empty — only its owning shard could have filled it and
-        // it drained before parking — so FIFO order holds.
+        // gets the message handed to it directly. When it is parked, its
+        // queue is provably empty — it drained the queue before parking —
+        // so FIFO order holds.
         let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
             return;
         };
@@ -336,40 +284,22 @@ impl World {
 }
 
 /// Run `f` on every rank of a fresh world and return the per-rank results
-/// in rank order. Panics in any rank propagate. Uses
-/// [`Backend::from_env`]: the sequential event loop unless
-/// `FLEXIO_SIM_SHARDS` requests a pool.
+/// in rank order. Panics in any rank propagate.
 pub fn run<R, F>(nprocs: usize, cost: CostModel, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&crate::rank::Rank) -> R + Sync,
 {
-    run_on(Backend::from_env(), nprocs, cost, f)
-}
-
-/// [`run`] on an explicitly chosen backend.
-pub fn run_on<R, F>(backend: Backend, nprocs: usize, cost: CostModel, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    assert!(
-        Backend::event_loop_supported(),
-        "the flexio-sim rank runtime requires x86_64 stackful fibers \
-         (the thread-per-rank fallback was retired)"
-    );
-    let world = World::new(nprocs, cost);
-    match backend {
-        Backend::EventLoop => crate::sched::run_event_loop(world, f),
-        Backend::Sharded(k) => crate::sched::run_pool(world, k, f),
-    }
+    crate::sched::run_event_loop(World::new(nprocs, cost), f)
+        .into_iter()
+        .map(|r| r.expect("rank finished without a result"))
+        .collect()
 }
 
 /// Run `f` on every rank of a fresh world carrying a crash-stop schedule:
 /// each `(rank, at_ns)` pair kills that rank at its first
 /// [`Rank::maybe_crash`] check at or past `at_ns` of virtual time.
-/// Crashed ranks return `None`; survivors return `Some`. Uses
-/// [`Backend::from_env`].
+/// Crashed ranks return `None`; survivors return `Some`.
 ///
 /// [`Rank::maybe_crash`]: crate::rank::Rank::maybe_crash
 pub fn run_crashable<R, F>(
@@ -382,61 +312,7 @@ where
     R: Send,
     F: Fn(&crate::rank::Rank) -> R + Sync,
 {
-    run_crashable_on(Backend::from_env(), nprocs, cost, crashes, f)
-}
-
-/// [`run_crashable`] on an explicitly chosen backend.
-pub fn run_crashable_on<R, F>(
-    backend: Backend,
-    nprocs: usize,
-    cost: CostModel,
-    crashes: &[(usize, u64)],
-    f: F,
-) -> Vec<Option<R>>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    assert!(
-        Backend::event_loop_supported(),
-        "crash-stop simulation requires the fiber rank runtime (x86_64)"
-    );
-    let world = World::with_crashes(nprocs, cost, crashes);
-    match backend {
-        Backend::EventLoop => crate::sched::run_event_loop_partial(world, f),
-        Backend::Sharded(k) => crate::sched::run_pool_partial(world, k, None, f),
-    }
-}
-
-/// Determinism-harness entry: [`run`] on a `shards`-wide pool whose
-/// spawned host threads start with a pseudo-random stagger of up to
-/// `max_jitter_us` wall microseconds (derived from `seed`), and whose
-/// shard condvars are flooded with unrequested notifies for the whole
-/// run (spurious wakeups far denser than any OS produces), deliberately
-/// perturbing host scheduling. The result must still be bit-identical to
-/// [`Backend::EventLoop`] — that is the pool's whole contract — so this
-/// exists for tests to prove it under hostile interleavings.
-pub fn run_jittered<R, F>(
-    nprocs: usize,
-    cost: CostModel,
-    shards: usize,
-    seed: u64,
-    max_jitter_us: u64,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    assert!(
-        Backend::event_loop_supported(),
-        "the flexio-sim rank runtime requires x86_64 stackful fibers"
-    );
-    let world = World::new(nprocs, cost);
-    crate::sched::run_pool_partial(world, shards, Some((seed, max_jitter_us.saturating_mul(1000))), f)
-        .into_iter()
-        .map(|r| r.expect("rank finished without a result"))
-        .collect()
+    crate::sched::run_event_loop(World::with_crashes(nprocs, cost, crashes), f)
 }
 
 #[cfg(test)]
@@ -447,25 +323,6 @@ mod tests {
     fn run_returns_rank_order() {
         let out = run(4, CostModel::free(), |r| r.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn sharded_run_returns_rank_order() {
-        for k in [1, 2, 3, 7] {
-            let out = run_on(Backend::Sharded(k), 4, CostModel::free(), |r| r.rank() * 10);
-            assert_eq!(out, vec![0, 10, 20, 30], "k={k}");
-        }
-    }
-
-    #[test]
-    fn jittered_pool_matches_event_loop() {
-        let ev = run(5, CostModel::default(), |r| (r.now(), r.allreduce_sum(r.rank() as u64)));
-        for seed in 0..3u64 {
-            let j = run_jittered(5, CostModel::default(), 3, seed, 200, |r| {
-                (r.now(), r.allreduce_sum(r.rank() as u64))
-            });
-            assert_eq!(ev, j, "seed={seed}");
-        }
     }
 
     fn msg(b: u8) -> Msg {

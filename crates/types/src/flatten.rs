@@ -142,7 +142,7 @@ pub fn flatten(dt: &Datatype) -> FlatType {
 /// bounded.
 const FLATTEN_CACHE_CAP: usize = 256;
 
-std::thread_local! {
+thread_local! {
     static FLATTEN_SCOPE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static FLATTEN_CACHE: std::cell::RefCell<
         std::collections::HashMap<u64, std::collections::HashMap<Datatype, std::sync::Arc<FlatType>>>,
@@ -153,24 +153,21 @@ std::thread_local! {
 ///
 /// The cache behind [`flatten_shared`] is partitioned into independent
 /// scopes so hit/miss behaviour — and therefore the virtual-time charges
-/// layered on top — stays per simulated rank regardless of how ranks map
-/// onto host threads. The rank scheduler multiplexes many ranks onto
-/// each host thread (all of them, sequentially, or one shard's worth
-/// under the sharded pool) and calls this with the global rank id on
-/// each context switch, so cache behaviour is identical at every shard
-/// count. Plain (non-simulated) callers never need to touch it: they
-/// use the default scope 0.
+/// layered on top — stays per simulated rank, as each MPI process has its
+/// own cache. The rank scheduler runs every rank of a world on one host
+/// thread and calls this with the rank id on each context switch. Plain
+/// (non-simulated) callers never need to touch it: they use the default
+/// scope 0.
 pub fn set_flatten_scope(scope: u64) {
     FLATTEN_SCOPE.with(|s| s.set(scope));
 }
 
 /// Drop every scope's cached flattenings on the current thread.
 ///
-/// The rank scheduler calls this on each host thread when a world
-/// starts (and again when it finishes), reproducing the cold cache a
-/// fresh thread would have seen — without it, a second `run` on the
-/// same host thread would observe warm caches and drift from the
-/// per-world hit/miss counts every other shard layout produces.
+/// The rank scheduler calls this when a world starts (and again when it
+/// finishes), so every world's ranks start cold — without it, a second
+/// `run` on the same host thread would observe warm caches and its
+/// hit/miss counts would depend on what ran before it.
 pub fn reset_flatten_cache() {
     FLATTEN_CACHE.with(|c| c.borrow_mut().clear());
 }
@@ -184,7 +181,7 @@ pub fn reset_flatten_cache() {
 /// The cache is keyed by structural equality, so two independently built
 /// but identical trees hit. Each scope (see [`set_flatten_scope`] — one
 /// per simulated rank) has its own map and its own capacity, so hit/miss
-/// counters are deterministic per rank under both rank runtimes.
+/// counters are deterministic per rank.
 ///
 /// Returns the shared flattening and whether it was a cache hit.
 pub fn flatten_shared(dt: &Datatype) -> (std::sync::Arc<FlatType>, bool) {

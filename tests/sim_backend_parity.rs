@@ -1,35 +1,25 @@
-//! Backend determinism regression suite (ISSUE 7 satellite, extended by
-//! ISSUE 10 to the sharded host-thread pool).
+//! Determinism regression suite: every run of the sequential event loop
+//! is bit-identical to a rerun of the same workload.
 //!
-//! The sharded pool must be a drop-in replacement for the sequential
-//! event loop at **every** shard count:
-//!
-//! * **Determinism by construction** — two event-loop runs of the same
-//!   workload are bit-identical in everything: virtual clocks, the full
-//!   `Stats` struct (including `bytes_copied`, `overlap_saved_ns`, phase
-//!   buckets), read-back buffers, and the bytes on the PFS.
-//! * **Shard parity, unconditionally** — the pool serializes dispatch on
-//!   the global minimum `(clock, rank)` key (DESIGN.md "Rank runtime"),
-//!   so unlike the retired thread-per-rank backend there is no "racy
-//!   workload" carve-out: clocks, full `Stats`, read-back bytes, and file
-//!   images must match the sequential loop bit for bit at shard counts
-//!   {1, 2, 4, 7}, including the paper-scale configuration with several
-//!   aggregators racing a shared OST clock that threads could never pin
-//!   down.
+//! * **Determinism by construction** — two runs of the same workload are
+//!   bit-identical in everything: virtual clocks, the full `Stats` struct
+//!   (including `bytes_copied`, `overlap_saved_ns`, phase buckets),
+//!   read-back buffers, and the bytes on the PFS. That includes the
+//!   paper-scale configuration with several aggregators racing a shared
+//!   OST clock, where service order depends on execution order: the loop
+//!   pins it to lowest-clock-first (DESIGN.md "Rank runtime").
 //! * Phase buckets always sum to each rank's elapsed clock.
+//!
+//! Test names ending in `across_shards` predate the removal of the sharded
+//! host-thread pool; they are kept so the test IDs stay stable.
 
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run_on, Backend, CostModel, Stats, XorShift64Star};
+use flexio::sim::{run, CostModel, Stats, XorShift64Star};
 use flexio::types::Datatype;
 use std::sync::Arc;
 
 const BLOCK: u64 = 64;
-
-/// Every pool width the suite exercises against the sequential loop:
-/// degenerate (1), even splits (2, 4), and an odd width (7) that leaves
-/// unequal shards at every world size used here.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 fn pfs_with(cost: PfsCostModel) -> Arc<Pfs> {
     Pfs::new(PfsConfig {
@@ -60,12 +50,10 @@ fn step_data(rank: usize, step: u64, len: usize) -> Vec<u8> {
 /// Per-rank observation: (final clock, full stats, read-back bytes).
 type RankTrace = (u64, Stats, Vec<u8>);
 
-/// One backend run of the parity workload: interleaved-block collective
+/// One run of the parity workload: interleaved-block collective
 /// writes then a collective read-back. Returns per-rank traces plus the
 /// final file image.
-#[allow(clippy::too_many_arguments)]
 fn parity_run(
-    backend: Backend,
     cost: PfsCostModel,
     engine: Engine,
     nprocs: usize,
@@ -75,7 +63,7 @@ fn parity_run(
 ) -> (Vec<RankTrace>, Vec<u8>) {
     let pfs = pfs_with(cost);
     let pfs2 = Arc::clone(&pfs);
-    let out = run_on(backend, nprocs, CostModel::default(), move |rank| {
+    let out = run(nprocs, CostModel::default(), move |rank| {
         let hints = Hints {
             engine,
             cb_nodes: Some(cb_nodes),
@@ -112,11 +100,8 @@ fn assert_phase_sums(out: &[(u64, Stats, Vec<u8>)], label: &str) {
 
 #[test]
 fn pure_collectives_bit_identical_across_shards() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // No file system at all: pure point-to-point and collective traffic,
-    // including payload-dependent branches, across every shard boundary.
+    // including payload-dependent branches.
     let workload = |r: &flexio::sim::Rank| {
         let p = r.nprocs();
         r.send((r.rank() + 1) % p, 1, &[r.rank() as u8; 48]);
@@ -134,38 +119,30 @@ fn pure_collectives_bit_identical_across_shards() {
         (r.now(), r.stats(), img)
     };
     for p in [2usize, 16, 64] {
-        let ev = run_on(Backend::EventLoop, p, CostModel::default(), workload);
-        for k in SHARD_COUNTS {
-            let sh = run_on(Backend::Sharded(k), p, CostModel::default(), workload);
-            assert_eq!(ev, sh, "p={p} shards={k}: clocks/stats/bytes diverge");
-        }
+        let a = run(p, CostModel::default(), workload);
+        let b = run(p, CostModel::default(), workload);
+        assert_eq!(a, b, "p={p}: clocks/stats/bytes diverge across runs");
     }
 }
 
 #[test]
 fn collective_io_bit_identical_across_shards() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // Free and timed PFS cost models, single aggregator (cb 1): the
     // smallest I/O-path configuration, both engines.
     let cases = [(PfsCostModel::free(), 8usize), (PfsCostModel::default(), 6)];
     let cb = 1usize;
     for engine in [Engine::Flexible, Engine::Romio] {
         for (cost, nprocs) in cases {
-            let (ev, ev_img) = parity_run(Backend::EventLoop, cost, engine, nprocs, 16, 3, cb);
-            assert_phase_sums(&ev, "event loop");
-            for k in SHARD_COUNTS {
-                let (sh, sh_img) =
-                    parity_run(Backend::Sharded(k), cost, engine, nprocs, 16, 3, cb);
-                assert_eq!(ev_img, sh_img, "{engine:?} cb={cb} shards={k}: images diverge");
-                for r in 0..nprocs {
-                    assert_eq!(
-                        ev[r], sh[r],
-                        "{engine:?} cb={cb} shards={k}: rank {r} (clock, full Stats, \
-                         read-back) diverge"
-                    );
-                }
+            let (a, a_img) = parity_run(cost, engine, nprocs, 16, 3, cb);
+            assert_phase_sums(&a, "first run");
+            let (b, b_img) = parity_run(cost, engine, nprocs, 16, 3, cb);
+            assert_eq!(a_img, b_img, "{engine:?} cb={cb}: images diverge across runs");
+            for r in 0..nprocs {
+                assert_eq!(
+                    a[r], b[r],
+                    "{engine:?} cb={cb}: rank {r} (clock, full Stats, read-back) diverge \
+                     across runs"
+                );
             }
         }
     }
@@ -173,50 +150,28 @@ fn collective_io_bit_identical_across_shards() {
 
 #[test]
 fn paper_scale_bit_identical_across_shards() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // Timed PFS, several racing aggregators, both engines — the
     // configuration where the retired thread-per-rank backend was *not*
     // clock-deterministic and the old suite had to fall back to
-    // order-insensitive work counters. The pool has no such carve-out:
-    // the min-gate serializes OST service order exactly as the sequential
-    // loop would, so full bit-identity holds at every shard count.
+    // order-insensitive work counters. Lowest-clock-first dispatch pins
+    // OST service order, so full bit-identity holds.
     for engine in [Engine::Flexible, Engine::Romio] {
-        let (a, a_img) =
-            parity_run(Backend::EventLoop, PfsCostModel::default(), engine, 16, 24, 3, 4);
-        let (b, b_img) =
-            parity_run(Backend::EventLoop, PfsCostModel::default(), engine, 16, 24, 3, 4);
-        assert_eq!(a_img, b_img, "{engine:?}: event-loop file images diverge across runs");
+        let (a, a_img) = parity_run(PfsCostModel::default(), engine, 16, 24, 3, 4);
+        let (b, b_img) = parity_run(PfsCostModel::default(), engine, 16, 24, 3, 4);
+        assert_eq!(a_img, b_img, "{engine:?}: file images diverge across runs");
         assert_eq!(a, b, "{engine:?}: event loop not bit-identical across runs");
         assert_phase_sums(&a, "event loop");
-
-        for k in SHARD_COUNTS {
-            let (sh, sh_img) =
-                parity_run(Backend::Sharded(k), PfsCostModel::default(), engine, 16, 24, 3, 4);
-            assert_eq!(a_img, sh_img, "{engine:?} shards={k}: file image diverges");
-            for r in 0..16 {
-                assert_eq!(
-                    a[r], sh[r],
-                    "{engine:?} shards={k}: rank {r} not bit-identical to the event loop"
-                );
-            }
-            assert_phase_sums(&sh, "sharded pool");
-        }
     }
 }
 
 #[test]
 fn exchange_modes_identical_across_shards() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
-    // Both exchange flavours at every shard count: full bit-identity.
+    // Both exchange flavours, run twice: full bit-identity.
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        let run_one = |backend: Backend| {
+        let run_one = || {
             let pfs = pfs_with(PfsCostModel::free());
             let pfs2 = Arc::clone(&pfs);
-            let out = run_on(backend, 8, CostModel::default(), move |rank| {
+            let out = run(8, CostModel::default(), move |rank| {
                 let hints = Hints {
                     exchange,
                     cb_nodes: Some(4),
@@ -234,11 +189,9 @@ fn exchange_modes_identical_across_shards() {
             });
             (out, read_file(&pfs, "xmode"))
         };
-        let (ev, ev_img) = run_one(Backend::EventLoop);
-        for k in SHARD_COUNTS {
-            let (sh, sh_img) = run_one(Backend::Sharded(k));
-            assert_eq!(ev_img, sh_img, "{exchange:?} shards={k}: images diverge");
-            assert_eq!(ev, sh, "{exchange:?} shards={k}: clocks/stats diverge");
-        }
+        let (a, a_img) = run_one();
+        let (b, b_img) = run_one();
+        assert_eq!(a_img, b_img, "{exchange:?}: images diverge across runs");
+        assert_eq!(a, b, "{exchange:?}: clocks/stats diverge across runs");
     }
 }

@@ -1,8 +1,8 @@
 //! Pinned virtual results for a message-heavy world.
 //!
-//! The parity suites compare backends and engine variants with each other,
-//! so a runtime change that altered message matching or wake order on
-//! every backend at once would still pass them. This test pins the
+//! The parity suites compare reruns and engine variants with each other,
+//! so a runtime change that altered message matching or wake order in
+//! every run alike would still pass them. This test pins the
 //! absolute result instead: an FNV-1a digest over every rank's final
 //! virtual clock and `Stats` for a 256-rank fine-grained HPIO write under
 //! `ExchangeMode::Alltoallw` — the allgatherv of filetype metadata, one
@@ -15,7 +15,7 @@
 use flexio::core::{ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig};
-use flexio::sim::{run_on, Backend, CostModel, Stats};
+use flexio::sim::{run, CostModel, Stats};
 use flexio::types::Datatype;
 
 /// Digest of the 256-rank world below.
@@ -86,9 +86,6 @@ fn hash_stats(h: &mut Fnv, s: &Stats) {
 
 #[test]
 fn fine_alltoallw_write_matches_pinned_digest() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     let nprocs = 256;
     // The fine-grained fig4 write of the host-scaling benchmark: 16
     // regions of 8 B per rank, a 512 B collective buffer, p/2 aggregators.
@@ -108,7 +105,7 @@ fn fine_alltoallw_write_matches_pinned_digest() {
     };
     let pfs = Pfs::new(PfsConfig::default());
     let fs = std::sync::Arc::clone(&pfs);
-    let out = run_on(Backend::EventLoop, nprocs, CostModel::default(), move |rank| {
+    let out = run(nprocs, CostModel::default(), move |rank| {
         let mut f = MpiFile::open(rank, &fs, "pin", hints.clone()).unwrap();
         let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
         f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
