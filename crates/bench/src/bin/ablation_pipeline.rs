@@ -2,10 +2,11 @@
 //!
 //! Serial vs pipelined buffer cycles on the E1 HPIO write workload, for
 //! BOTH engines at equal depth — the cycles run on the shared pipeline
-//! core now, so `flexio_double_buffer` means the same thing under the
-//! flexible engine and the ROMIO baseline: same bytes, same exchange
-//! work, but the pipelined run overlaps the exchange for cycle i+1 with
-//! the file I/O of cycle i. Reports the slowest rank's collective-write
+//! core now, so a pipeline depth means the same thing under the
+//! flexible engine and the ROMIO baseline: serial (depth 1) and pipelined
+//! (depth 2) runs move the same bytes with the same exchange work, but
+//! the pipelined run overlaps the exchange for cycle i+1 with the file
+//! I/O of cycle i. Reports the slowest rank's collective-write
 //! time, the summed hidden time, and verifies every engine × mode
 //! combination leaves a byte-identical file image.
 //!
@@ -82,20 +83,20 @@ fn main() {
         // A small collective buffer forces many buffer cycles per call —
         // the regime double buffering targets (one cycle has nothing to
         // overlap with).
-        // Pinned to depth 2: this ablation isolates the original §4
-        // double-buffering win; ablation_depth studies deeper pipelines.
-        let hints = |engine: Engine, double_buffer: bool| Hints {
+        // Pipelined is pinned to depth 2: this ablation isolates the
+        // original §4 double-buffering win; ablation_depth studies deeper
+        // pipelines.
+        let hints = |engine: Engine, depth: u32| Hints {
             engine,
             cb_nodes: Some(aggs),
             cb_buffer_size: 256 << 10,
-            double_buffer,
-            pipeline_depth: PipelineDepth::Fixed(2),
+            pipeline_depth: PipelineDepth::Fixed(depth),
             ..Hints::default()
         };
-        let best = |engine: Engine, db: bool, path: &str| {
+        let best = |engine: Engine, depth: u32, path: &str| {
             let mut first: Option<(u64, u64, Vec<u8>)> = None;
             for _ in 0..scale.best_of {
-                let (ns, hidden, image) = run_once(spec, &hints(engine, db), path);
+                let (ns, hidden, image) = run_once(spec, &hints(engine, depth), path);
                 first = Some(match first.take() {
                     None => (ns, hidden, image),
                     Some(b) => {
@@ -109,8 +110,8 @@ fn main() {
         let mut baseline: Option<Vec<u8>> = None;
         let mut col = 0;
         for &(ename, engine) in &engines {
-            let (ns_s, hid_s, img_s) = best(engine, false, "a5_serial");
-            let (ns_p, hid_p, img_p) = best(engine, true, "a5_pipelined");
+            let (ns_s, hid_s, img_s) = best(engine, 1, "a5_serial");
+            let (ns_p, hid_p, img_p) = best(engine, 2, "a5_pipelined");
             for (mode, ns, hid, img) in
                 [("serial", ns_s, hid_s, &img_s), ("pipelined", ns_p, hid_p, &img_p)]
             {

@@ -5,9 +5,9 @@
 //! and an **issue half** (aggregator↔file I/O) — and both profit from the
 //! same overlap: while one cycle's file I/O is still in flight, the next
 //! cycle's exchange can already run into its own collective buffer. This
-//! module owns that machinery once, so `flexio_double_buffer` and
-//! `flexio_pipeline_depth` mean exactly the same thing under the flexible
-//! engine and the ROMIO baseline:
+//! module owns that machinery once, so `flexio_pipeline_depth` means
+//! exactly the same thing under the flexible engine and the ROMIO
+//! baseline:
 //!
 //! * the in-flight window deque (one [`OverlapWindow`] + [`NbGuard`] per
 //!   outstanding cycle, drained when its collective buffer must be
@@ -38,9 +38,8 @@ use std::collections::VecDeque;
 pub(crate) const MAX_INFLIGHT: usize = 7;
 
 /// How many buffer cycles may be in flight ahead of the one being
-/// exchanged — the resolved form of `flexio_double_buffer` +
-/// `flexio_pipeline_depth`, expressed as a *cap* on outstanding
-/// completion windows (cap = depth − 1).
+/// exchanged — the resolved form of `flexio_pipeline_depth`, expressed
+/// as a *cap* on outstanding completion windows (cap = depth − 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CapPolicy {
     /// Never exceed this many outstanding windows. 0 is the strictly
@@ -63,9 +62,6 @@ pub(crate) enum CapPolicy {
 
 impl CapPolicy {
     pub(crate) fn resolve(hints: &Hints, n_osts: usize, n_aggs: usize) -> CapPolicy {
-        if !hints.double_buffer {
-            return CapPolicy::Fixed(0);
-        }
         match hints.pipeline_depth {
             PipelineDepth::Auto => {
                 CapPolicy::Auto { bound: (2 * n_osts / n_aggs.max(1)).clamp(1, MAX_INFLIGHT) }
@@ -463,42 +459,36 @@ pub(crate) fn drive_read<D: CycleDriver>(
 mod tests {
     use super::*;
 
-    fn hints(double_buffer: bool, depth: PipelineDepth) -> Hints {
-        Hints { double_buffer, pipeline_depth: depth, ..Hints::default() }
+    fn hints(depth: PipelineDepth) -> Hints {
+        Hints { pipeline_depth: depth, ..Hints::default() }
     }
 
     #[test]
     fn cap_policy_resolution() {
-        // double_buffer off forces the serial engine whatever the depth.
-        assert_eq!(CapPolicy::resolve(&hints(false, PipelineDepth::Auto), 8, 2), CapPolicy::Fixed(0));
-        assert_eq!(
-            CapPolicy::resolve(&hints(false, PipelineDepth::Fixed(5)), 8, 2),
-            CapPolicy::Fixed(0)
-        );
         // Fixed depth d = cap d-1, clamped to MAX_INFLIGHT.
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Fixed(1)), 8, 2),
+            CapPolicy::resolve(&hints(PipelineDepth::Fixed(1)), 8, 2),
             CapPolicy::Fixed(0)
         );
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Fixed(4)), 8, 2),
+            CapPolicy::resolve(&hints(PipelineDepth::Fixed(4)), 8, 2),
             CapPolicy::Fixed(3)
         );
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Fixed(99)), 8, 2),
+            CapPolicy::resolve(&hints(PipelineDepth::Fixed(99)), 8, 2),
             CapPolicy::Fixed(MAX_INFLIGHT)
         );
         // Auto bound follows the aggregator's stripe share.
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Auto), 8, 2),
+            CapPolicy::resolve(&hints(PipelineDepth::Auto), 8, 2),
             CapPolicy::Auto { bound: 7 }
         );
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Auto), 4, 4),
+            CapPolicy::resolve(&hints(PipelineDepth::Auto), 4, 4),
             CapPolicy::Auto { bound: 2 }
         );
         assert_eq!(
-            CapPolicy::resolve(&hints(true, PipelineDepth::Auto), 1, 8),
+            CapPolicy::resolve(&hints(PipelineDepth::Auto), 1, 8),
             CapPolicy::Auto { bound: 1 }
         );
     }

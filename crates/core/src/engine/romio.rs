@@ -13,13 +13,13 @@
 //!   collective buffer.
 //!
 //! The buffer cycles run on the shared pipeline core
-//! ([`crate::engine::pipeline`]), so `flexio_double_buffer` and
-//! `flexio_pipeline_depth` mean the same thing here as under the flexible
-//! engine — depth 1 charges exactly like the historical serial loop
-//! (fixture-enforced), deeper pipelines overlap each cycle's *final*
-//! buffer-to-file request with the next cycle's exchange. A write cycle's
-//! sieving *read* stays blocking at any depth: it is the read half of a
-//! read-modify-write, and the payloads can only be placed after it lands.
+//! ([`crate::engine::pipeline`]), so `flexio_pipeline_depth` means the
+//! same thing here as under the flexible engine — depth 1 charges exactly
+//! like the historical serial loop (fixture-enforced), deeper pipelines
+//! overlap each cycle's *final* buffer-to-file request with the next
+//! cycle's exchange. A write cycle's sieving *read* stays blocking at any
+//! depth: it is the read half of a read-modify-write, and the payloads
+//! can only be placed after it lands.
 
 use crate::engine::common::{agree_error, retry_io, Piece};
 use crate::engine::flexible::DataBuf;

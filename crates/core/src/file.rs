@@ -241,9 +241,7 @@ impl<'r> MpiFile<'r> {
         // Charge the op's full window whether or not it faulted (the error
         // carries the would-be completion time), then surface the fault —
         // independent I/O has no retry loop or collective agreement.
-        let t = res.unwrap_or_else(|e| e.at);
-        self.rank.advance_to(t);
-        self.rank.note_phase(Phase::Io, t - t0);
+        self.wait_io(t0, res.unwrap_or_else(|e| e.at));
         res.map(|_| ()).map_err(IoError::Pfs)
     }
 
@@ -270,9 +268,7 @@ impl<'r> MpiFile<'r> {
             &self.hints.io_method,
             self.view.ftype().extent,
         );
-        let t = *res.as_ref().unwrap_or_else(|e| &e.at);
-        self.rank.advance_to(t);
-        self.rank.note_phase(Phase::Io, t - t0);
+        self.wait_io(t0, *res.as_ref().unwrap_or_else(|e| &e.at));
         if let Err(e) = res {
             // The packed bytes are exact even on a faulted request, but an
             // independent read has no retry loop: report it without
@@ -327,12 +323,20 @@ impl<'r> MpiFile<'r> {
         (segs, packed)
     }
 
+    /// Move the clock to `t`, the completion of a file-system request
+    /// issued at `t0`, and charge the wait to the I/O phase, so the phase
+    /// buckets keep summing to the clock.
+    fn wait_io(&self, t0: u64, t: u64) {
+        self.rank.advance_to(t);
+        self.rank.note_phase(Phase::Io, t - t0);
+    }
+
     /// Collective `MPI_File_set_size`: truncate or extend to `size` bytes.
     pub fn set_size(&self, size: u64) {
         // Collective: rank 0 performs the metadata operation.
         if self.rank.rank() == 0 {
-            let t = self.handle.set_size(self.rank.now(), size);
-            self.rank.advance_to(t);
+            let t0 = self.rank.now();
+            self.wait_io(t0, self.handle.set_size(t0, size));
         }
         self.rank.barrier();
     }
@@ -340,8 +344,8 @@ impl<'r> MpiFile<'r> {
     /// Collective `MPI_File_preallocate`: ensure storage for `size` bytes.
     pub fn preallocate(&self, size: u64) {
         if self.rank.rank() == 0 {
-            let t = self.handle.preallocate(self.rank.now(), size);
-            self.rank.advance_to(t);
+            let t0 = self.rank.now();
+            self.wait_io(t0, self.handle.preallocate(t0, size));
         }
         self.rank.barrier();
     }
@@ -350,8 +354,9 @@ impl<'r> MpiFile<'r> {
     /// pages always land even on a faulted flush request; the error
     /// reports the request outcome, as `MPI_File_sync` would.
     pub fn sync(&self) -> Result<()> {
-        let res = self.handle.flush(self.rank.now());
-        self.rank.advance_to(*res.as_ref().unwrap_or_else(|e| &e.at));
+        let t0 = self.rank.now();
+        let res = self.handle.flush(t0);
+        self.wait_io(t0, *res.as_ref().unwrap_or_else(|e| &e.at));
         res.map(|_| ()).map_err(IoError::Pfs)
     }
 
@@ -359,8 +364,9 @@ impl<'r> MpiFile<'r> {
     /// closed (locks released, cache invalidated) even when the final
     /// flush request faults.
     pub fn close(self) -> Result<()> {
-        let res = self.handle.close(self.rank.now());
-        self.rank.advance_to(*res.as_ref().unwrap_or_else(|e| &e.at));
+        let t0 = self.rank.now();
+        let res = self.handle.close(t0);
+        self.wait_io(t0, *res.as_ref().unwrap_or_else(|e| &e.at));
         self.rank.barrier();
         res.map(|_| ()).map_err(IoError::Pfs)
     }

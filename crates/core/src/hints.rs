@@ -80,15 +80,8 @@ pub struct Hints {
     /// under persistent file realms; off reproduces the pre-cache engine
     /// exactly (useful for ablations).
     pub schedule_cache: bool,
-    /// Software-pipeline the buffer cycles (both engines): two collective
-    /// buffers per aggregator, with the exchange for cycle *i+1*
-    /// overlapping the file I/O of cycle *i* (the original ROMIO
-    /// double-buffering the paper's §4 inherits). On by default; off
-    /// reproduces the strictly serial per-cycle engine charge for charge.
-    pub double_buffer: bool,
     /// Pipeline depth policy (`flexio_pipeline_depth`): how many buffer
-    /// cycles may be in flight at once. Ignored (forced to 1) when
-    /// [`Hints::double_buffer`] is off.
+    /// cycles may be in flight at once; see [`PipelineDepth`].
     pub pipeline_depth: PipelineDepth,
     /// How many times an aggregator retries a transiently failed file-
     /// system request before the collective gives up and agrees on an
@@ -149,7 +142,6 @@ impl Default for Hints {
             persistent_file_realms: false,
             exchange: ExchangeMode::default(),
             schedule_cache: true,
-            double_buffer: true,
             pipeline_depth: PipelineDepth::default(),
             io_retries: 4,
             retry_backoff_us: 100,
@@ -173,7 +165,6 @@ impl std::fmt::Debug for Hints {
             .field("persistent_file_realms", &self.persistent_file_realms)
             .field("exchange", &self.exchange)
             .field("schedule_cache", &self.schedule_cache)
-            .field("double_buffer", &self.double_buffer)
             .field("pipeline_depth", &self.pipeline_depth)
             .field("io_retries", &self.io_retries)
             .field("retry_backoff_us", &self.retry_backoff_us)
@@ -207,7 +198,7 @@ impl Hints {
         if self.pipeline_depth == PipelineDepth::Fixed(0) {
             return Err(crate::error::IoError::BadHints(
                 "flexio_pipeline_depth must be a positive integer or auto (0 disables nothing; \
-                 use flexio_double_buffer=disable or depth 1 for the serial engine)",
+                 use depth 1 for the serial engine)",
             ));
         }
         if self.io_retries > 32 {

@@ -13,17 +13,17 @@
 //! | `romio_ds_write` | `enable` = always sieve, `disable` = naive, `automatic` = conditional |
 //! | `ds_extent_threshold` | conditional crossover bytes (flexio extension) |
 //! | `striping_unit` | file-realm alignment bytes (the paper's new hint) |
-//! | `flexio_pfr` | `enable` persistent file realms (the paper's PFR switch) |
+//! | `flexio_pfr` | `enable` persistent file realms (the paper's PFR switch; a paper mechanism, §5.2/§6.4, Figs. 6–7) |
 //! | `flexio_engine` | `flexible` or `romio` |
 //! | `flexio_exchange` | `nonblocking` or `alltoallw` |
-//! | `flexio_schedule_cache` | `enable`/`disable` exchange-schedule caching (flexio extension, default enable) |
-//! | `flexio_double_buffer` | `enable`/`disable` pipelined buffer cycles (exchange/I-O overlap; flexio extension, default enable) |
+//! | `flexio_schedule_cache` | `enable`/`disable` exchange-schedule caching (flexio extension, default enable; covered by ablation A4 and perfbench's cache-hit metric) |
+//! | `flexio_double_buffer` | alias: `disable` means `flexio_pipeline_depth=1` whatever the key order, `enable` changes nothing (kept so older job scripts still parse) |
 //! | `flexio_pipeline_depth` | `auto` or a positive integer: buffer cycles in flight at once (flexio extension, default auto; `1` = serial, `2` = classic double buffering) |
 //! | `flexio_io_retries` | retries per failed file-system request before the collective agrees on an error (flexio extension, default 4, max 32) |
 //! | `flexio_retry_backoff_us` | base microseconds of the first retry backoff, doubling per retry, charged in virtual time (flexio extension, default 100) |
-//! | `flexio_zero_copy` | `enable`/`disable` the zero-copy datatype path: borrowed segment runs from user buffers through the exchange and the vectored PFS interface instead of packed staging copies (flexio extension, default enable; disable reproduces the packed path byte- and charge-identically) |
-//! | `flexio_sieve_prefetch` | `enable`/`disable` prefetching the ROMIO engine's data-sieving RMW pre-read one pipeline cycle ahead (flexio extension, default disable) |
-//! | `flexio_crash_recovery` | `enable`/`disable` surviving crash-stopped ranks: agree on the dead set, re-elect aggregators over survivors, replay the interrupted call (flexio extension, default disable; disabled, a crash terminates the collective with a collectively agreed error) |
+//! | `flexio_zero_copy` | `enable`/`disable` the zero-copy datatype path: borrowed segment runs from user buffers through the exchange and the vectored PFS interface instead of packed staging copies (flexio extension, default enable; disable is the pinned packed oracle, reproducing the packed path byte- and charge-identically) |
+//! | `flexio_sieve_prefetch` | `enable`/`disable` prefetching the ROMIO engine's data-sieving RMW pre-read one pipeline cycle ahead (flexio extension, default disable; covered by ablation A6's `+pf` rows) |
+//! | `flexio_crash_recovery` | `enable`/`disable` surviving crash-stopped ranks: agree on the dead set, re-elect aggregators over survivors, replay the interrupted call (flexio extension, default disable; disabled, a crash terminates the collective with a collectively agreed error; covered by ablation A8 and `tests/crash_recovery.rs`) |
 //! | `flexio_watchdog_us` | failure-detection watchdog in virtual microseconds: heartbeat wait at collective boundaries before suspecting a peer dead (flexio extension, default 200000; must exceed per-cycle clock skew) |
 //!
 //! Unknown keys are ignored, as MPI requires.
@@ -39,6 +39,7 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
     let mut sieve_buffer: Option<usize> = None;
     let mut threshold: Option<u64> = None;
     let mut ds_mode: Option<&str> = None;
+    let mut serial = false;
     for &(key, value) in info {
         match key {
             "cb_nodes" => {
@@ -109,9 +110,9 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
                 };
             }
             "flexio_double_buffer" => {
-                h.double_buffer = match value {
-                    "enable" | "true" => true,
-                    "disable" | "false" => false,
+                serial |= match value {
+                    "enable" | "true" => false,
+                    "disable" | "false" => true,
                     _ => {
                         return Err(IoError::BadHints("flexio_double_buffer takes enable/disable"))
                     }
@@ -194,6 +195,9 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
         },
     };
     h.validate()?;
+    if serial {
+        h.pipeline_depth = PipelineDepth::Fixed(1);
+    }
     Ok(h)
 }
 
@@ -247,12 +251,26 @@ mod tests {
 
     #[test]
     fn double_buffer_switch() {
-        assert!(Hints::default().double_buffer);
+        // `disable` is depth 1 whichever side of a depth key it sits on.
+        let serial = PipelineDepth::Fixed(1);
         let h = hints_from_info(Hints::default(), &[("flexio_double_buffer", "disable")]).unwrap();
-        assert!(!h.double_buffer);
-        let h = hints_from_info(h, &[("flexio_double_buffer", "enable")]).unwrap();
-        assert!(h.double_buffer);
+        assert_eq!(h.pipeline_depth, serial);
+        for info in [
+            [("flexio_double_buffer", "disable"), ("flexio_pipeline_depth", "4")],
+            [("flexio_pipeline_depth", "4"), ("flexio_double_buffer", "disable")],
+        ] {
+            assert_eq!(hints_from_info(Hints::default(), &info).unwrap().pipeline_depth, serial);
+        }
+        // `enable` changes nothing.
+        let h = hints_from_info(Hints::default(), &[("flexio_double_buffer", "enable")]).unwrap();
+        assert_eq!(h.pipeline_depth, PipelineDepth::Auto);
+        let info = [("flexio_pipeline_depth", "3"), ("flexio_double_buffer", "enable")];
+        let h = hints_from_info(h, &info).unwrap();
+        assert_eq!(h.pipeline_depth, PipelineDepth::Fixed(3));
         assert!(hints_from_info(Hints::default(), &[("flexio_double_buffer", "maybe")]).is_err());
+        // The alias does not mask an invalid depth.
+        let bad = [("flexio_pipeline_depth", "0"), ("flexio_double_buffer", "disable")];
+        assert!(hints_from_info(Hints::default(), &bad).is_err());
     }
 
     #[test]

@@ -289,104 +289,10 @@ impl RealmAssigner for BalancedLoad {
     }
 }
 
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn check_partition(assigner: &dyn RealmAssigner, ctx: &AssignCtx<'_>) -> Result<(), String> {
-        let realms = assigner.assign(ctx);
-        if realms.len() != ctx.n_aggregators {
-            return Err(format!("{}: wrong realm count", assigner.name()));
-        }
-        let (lo, hi) = ctx.aar;
-        // Sampled ownership: every AAR byte owned by exactly one realm.
-        let step = ((hi - lo) / 257).max(1);
-        let mut off = lo;
-        while off < hi {
-            let owners = realms.iter().filter(|r| r.owns(off)).count();
-            if owners != 1 {
-                return Err(format!("{}: offset {off} owned {owners} times", assigner.name()));
-            }
-            off += step;
-        }
-        // Coverage accounting.
-        let covered: u64 = realms.iter().map(|r| r.owned_between(lo, hi)).sum();
-        if covered != hi - lo {
-            return Err(format!("{}: covered {covered} of {}", assigner.name(), hi - lo));
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Every built-in assigner partitions the AAR: full coverage,
-        /// pairwise-disjoint ownership, for arbitrary regions, aggregator
-        /// counts, and alignments.
-        #[test]
-        fn assigners_partition_the_aar(
-            lo in 0u64..100_000,
-            len in 1u64..500_000,
-            aggs in 1usize..12,
-            align_pow in proptest::option::of(4u32..16),
-        ) {
-            let ctx = AssignCtx {
-                aar: (lo, lo + len),
-                n_aggregators: aggs,
-                alignment: align_pow.map(|p| 1u64 << p),
-                clients: &[],
-            };
-            check_partition(&EvenAar, &ctx).map_err(TestCaseError::fail)?;
-            check_partition(&PersistentBlockCyclic, &ctx).map_err(TestCaseError::fail)?;
-            check_partition(&BalancedLoad, &ctx).map_err(TestCaseError::fail)?;
-        }
-
-        /// Persistent realms own every byte of the file, not just the AAR.
-        #[test]
-        fn persistent_realms_cover_whole_file(
-            lo in 0u64..10_000,
-            len in 1u64..100_000,
-            aggs in 1usize..8,
-            probe in 0u64..1_000_000,
-        ) {
-            let ctx = AssignCtx {
-                aar: (lo, lo + len),
-                n_aggregators: aggs,
-                alignment: None,
-                clients: &[],
-            };
-            let realms = PersistentBlockCyclic.assign(&ctx);
-            let owners = realms.iter().filter(|r| r.owns(probe)).count();
-            prop_assert_eq!(owners, 1, "byte {} owned {} times", probe, owners);
-        }
-
-        /// Realm segments reconstruct exactly the owned byte count.
-        #[test]
-        fn realm_segments_consistent(
-            lo in 0u64..1000,
-            len in 1u64..10_000,
-            aggs in 1usize..6,
-        ) {
-            let ctx = AssignCtx { aar: (lo, lo + len), n_aggregators: aggs, alignment: None, clients: &[] };
-            for r in PersistentBlockCyclic.assign(&ctx) {
-                let d0 = r.data_lower(lo);
-                let d1 = r.data_lower(lo + len);
-                let segs = r.segments(d0, d1);
-                let total: u64 = segs.iter().map(|(_, l)| l).sum();
-                prop_assert_eq!(total, d1 - d0);
-                // Sorted, disjoint.
-                for w in segs.windows(2) {
-                    prop_assert!(w[0].0 + w[0].1 <= w[1].0);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexio_sim::prop::Runner;
     use flexio_types::{flatten, Datatype};
 
     fn ctx(aar: (u64, u64), a: usize, alignment: Option<u64>) -> AssignCtx<'static> {
@@ -551,5 +457,99 @@ mod tests {
             bal[1].segments(d, d + 1)[0].0
         };
         assert!((40..=60).contains(&b1_start), "boundary at {b1_start}");
+    }
+
+    fn check_partition(assigner: &dyn RealmAssigner, ctx: &AssignCtx<'_>) -> Result<(), String> {
+        let realms = assigner.assign(ctx);
+        if realms.len() != ctx.n_aggregators {
+            return Err(format!("{}: wrong realm count", assigner.name()));
+        }
+        let (lo, hi) = ctx.aar;
+        // Sampled ownership: every AAR byte owned by exactly one realm.
+        let step = ((hi - lo) / 257).max(1);
+        let mut off = lo;
+        while off < hi {
+            let owners = realms.iter().filter(|r| r.owns(off)).count();
+            if owners != 1 {
+                return Err(format!("{}: offset {off} owned {owners} times", assigner.name()));
+            }
+            off += step;
+        }
+        // Coverage accounting.
+        let covered: u64 = realms.iter().map(|r| r.owned_between(lo, hi)).sum();
+        if covered != hi - lo {
+            return Err(format!("{}: covered {covered} of {}", assigner.name(), hi - lo));
+        }
+        Ok(())
+    }
+
+    /// Every built-in assigner partitions the AAR: full coverage,
+    /// pairwise-disjoint ownership, for arbitrary regions, aggregator
+    /// counts, and alignments.
+    #[test]
+    fn assigners_partition_the_aar() {
+        Runner::new("assigners_partition_the_aar").cases(64).run(
+            |rng| {
+                let lo = rng.next_u64() % 100_000;
+                let len = 1 + rng.next_u64() % 499_999;
+                let aggs = 1 + (rng.next_u64() % 11) as usize;
+                let align_pow = (rng.next_u64() % 2 == 1).then(|| 4 + (rng.next_u64() % 12) as u32);
+                (lo, len, aggs, align_pow)
+            },
+            |&(lo, len, aggs, align_pow)| {
+                let ctx = AssignCtx {
+                    aar: (lo, lo + len),
+                    n_aggregators: aggs,
+                    alignment: align_pow.map(|p| 1u64 << p),
+                    clients: &[],
+                };
+                check_partition(&EvenAar, &ctx).unwrap();
+                check_partition(&PersistentBlockCyclic, &ctx).unwrap();
+                check_partition(&BalancedLoad, &ctx).unwrap();
+            },
+        );
+    }
+
+    /// Persistent realms own every byte of the file, not just the AAR.
+    #[test]
+    fn persistent_realms_cover_whole_file() {
+        Runner::new("persistent_realms_cover_whole_file").cases(64).run(
+            |rng| {
+                let lo = rng.next_u64() % 10_000;
+                let len = 1 + rng.next_u64() % 99_999;
+                let aggs = 1 + (rng.next_u64() % 7) as usize;
+                (lo, len, aggs, rng.next_u64() % 1_000_000)
+            },
+            |&(lo, len, aggs, probe)| {
+                let realms = PersistentBlockCyclic.assign(&ctx((lo, lo + len), aggs, None));
+                let owners = realms.iter().filter(|r| r.owns(probe)).count();
+                assert_eq!(owners, 1, "byte {probe} owned {owners} times");
+            },
+        );
+    }
+
+    /// Realm segments reconstruct exactly the owned byte count.
+    #[test]
+    fn realm_segments_consistent() {
+        Runner::new("realm_segments_consistent").cases(64).run(
+            |rng| {
+                let lo = rng.next_u64() % 1000;
+                let len = 1 + rng.next_u64() % 9_999;
+                (lo, len, 1 + (rng.next_u64() % 5) as usize)
+            },
+            |&(lo, len, aggs)| {
+                for r in PersistentBlockCyclic.assign(&ctx((lo, lo + len), aggs, None)) {
+                    let d0 = r.data_lower(lo);
+                    let d1 = r.data_lower(lo + len);
+                    let segs = r.segments(d0, d1);
+                    let total: u64 = segs.iter().map(|(_, l)| l).sum();
+                    assert_eq!(total, d1 - d0);
+                    // Sorted, disjoint.
+                    for w in segs.windows(2) {
+                        assert!(w[0].0 + w[0].1 <= w[1].0);
+                    }
+                }
+            },
+        );
     }
 }

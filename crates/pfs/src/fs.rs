@@ -490,12 +490,6 @@ impl FileHandle {
             return t;
         }
         self.pfs.stats.lock_grants.fetch_add(1, Ordering::Relaxed);
-        if std::env::var_os("FLEXIO_LOCK_DEBUG").is_some() && !acq.revoked.is_empty() {
-            eprintln!(
-                "lock: client {} acquiring [{lstart},{lend}) revokes {:?}",
-                self.client, acq.revoked
-            );
-        }
         for (victim, s, e) in &acq.revoked {
             self.pfs.stats.lock_revocations.fetch_add(1, Ordering::Relaxed);
             t += self.pfs.cfg.cost.lock_revoke_ns;

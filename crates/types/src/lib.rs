@@ -27,142 +27,3 @@ pub use subarray::{darray, subarray, Distribution};
 pub use view::{
     pack, unpack, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,
 };
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::sync::Arc;
-
-    /// Recursive strategy for arbitrary datatypes with bounded size.
-    fn arb_dt() -> impl Strategy<Value = Dt> {
-        let leaf = (1u64..16).prop_map(Datatype::bytes);
-        leaf.prop_recursive(3, 24, 4, |inner| {
-            prop_oneof![
-                (1u64..5, inner.clone()).prop_map(|(c, ch)| Datatype::contiguous(c, ch)),
-                (1u64..4, 1u64..3, 1i64..5, inner.clone())
-                    .prop_map(|(c, b, s, ch)| Datatype::vector(c, b, s.max(b as i64), ch)),
-                (1u64..4, 1u64..3, inner.clone()).prop_map(|(c, b, ch)| {
-                    let ext = ch.extent() as i64;
-                    Datatype::hvector(c, b, (b as i64 * ext).max(1) + 3, ch)
-                }),
-                proptest::collection::vec((0i64..6, 1u64..3), 1..4).prop_map(|mut blocks| {
-                    // Keep displacements monotonic & non-overlapping so the
-                    // result is view-compatible.
-                    blocks.sort_unstable();
-                    let mut cur = 0i64;
-                    let fixed: Vec<(i64, u64)> = blocks
-                        .into_iter()
-                        .map(|(d, bl)| {
-                            let place = cur.max(d);
-                            cur = place + bl as i64;
-                            (place, bl)
-                        })
-                        .collect();
-                    Datatype::indexed(fixed, Datatype::bytes(2))
-                }),
-            ]
-        })
-    }
-
-    proptest! {
-        /// size() always equals the sum of flattened segment lengths.
-        #[test]
-        fn size_matches_flatten(dt in arb_dt()) {
-            let f = flatten(&dt);
-            prop_assert_eq!(f.size, dt.size());
-        }
-
-        /// All flattened segments lie within [lb, ub).
-        #[test]
-        fn segs_within_bounds(dt in arb_dt()) {
-            let (lb, ub) = dt.bounds();
-            let f = flatten(&dt);
-            for s in &f.segs {
-                prop_assert!(s.off >= lb, "seg {:?} below lb {}", s, lb);
-                prop_assert!(s.end() <= ub, "seg {:?} above ub {}", s, ub);
-            }
-        }
-
-        /// Wire round-trip is lossless.
-        #[test]
-        fn wire_roundtrip(dt in arb_dt()) {
-            let f = flatten(&dt);
-            prop_assert_eq!(FlatType::from_wire(&f.to_wire()), f);
-        }
-
-        /// data_to_file is strictly increasing and file_to_data_lower inverts it.
-        #[test]
-        fn view_mapping_bijective(dt in arb_dt(), disp in 0u64..64) {
-            let f = flatten(&dt);
-            prop_assume!(f.size > 0 && f.monotonic);
-            prop_assume!(f.segs.first().map(|s| s.off >= 0).unwrap_or(true));
-            let ub = f.segs.last().map(|s| s.end()).unwrap_or(0);
-            prop_assume!(f.extent as i64 >= ub);
-            let v = FileView::new(disp, Arc::new(f), 1).unwrap();
-            let mut prev = None;
-            for d in 0..64u64 {
-                let off = v.data_to_file(d);
-                if let Some(p) = prev {
-                    prop_assert!(off > p, "offsets must be strictly increasing");
-                }
-                prev = Some(off);
-                prop_assert_eq!(v.file_to_data_lower(off), d);
-            }
-        }
-
-        /// Cursor streaming visits exactly the bytes data_to_file enumerates.
-        #[test]
-        fn cursor_agrees_with_mapping(dt in arb_dt(), start in 0u64..32, chunk in 1u64..7) {
-            let f = flatten(&dt);
-            prop_assume!(f.size > 0 && f.monotonic);
-            prop_assume!(f.segs.first().map(|s| s.off >= 0).unwrap_or(true));
-            let ub = f.segs.last().map(|s| s.end()).unwrap_or(0);
-            prop_assume!(f.extent as i64 >= ub);
-            let v = FileView::new(3, Arc::new(f), 1).unwrap();
-            let mut c = v.cursor(start);
-            let mut d = start;
-            for _ in 0..40 {
-                let p = c.take(chunk);
-                prop_assert_eq!(p.data_pos, d);
-                for k in 0..p.len {
-                    prop_assert_eq!(v.data_to_file(d + k), p.file_off + k);
-                }
-                d += p.len;
-            }
-        }
-
-        /// advance_to_file positions exactly at file_to_data_lower's answer.
-        #[test]
-        fn advance_matches_lower_bound(dt in arb_dt(), target in 0u64..512) {
-            let f = flatten(&dt);
-            prop_assume!(f.size > 0 && f.monotonic);
-            prop_assume!(f.segs.first().map(|s| s.off >= 0).unwrap_or(true));
-            let ub = f.segs.last().map(|s| s.end()).unwrap_or(0);
-            prop_assume!(f.extent as i64 >= ub);
-            let v = FileView::new(0, Arc::new(f), 1).unwrap();
-            let mut c = v.cursor(0);
-            c.advance_to_file(target);
-            prop_assert_eq!(c.data_pos(), v.file_to_data_lower(target));
-        }
-
-        /// Gather followed by scatter into a fresh buffer restores data bytes.
-        #[test]
-        fn gather_scatter_roundtrip(dt in arb_dt(), count in 1u64..4) {
-            let f = flatten(&dt);
-            prop_assume!(f.size > 0);
-            prop_assume!(f.segs.iter().all(|s| s.off >= 0));
-            let m = MemLayout::new(Arc::new(f), count);
-            let span = m.span() as usize;
-            let buf: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
-            let total = m.total() as usize;
-            let mut packed = vec![0u8; total];
-            m.gather(&buf, 0, &mut packed);
-            let mut restored = vec![0u8; span];
-            m.scatter(&mut restored, 0, &packed);
-            let mut packed2 = vec![0u8; total];
-            m.gather(&restored, 0, &mut packed2);
-            prop_assert_eq!(packed, packed2);
-        }
-    }
-}

@@ -1,6 +1,6 @@
 //! The strided rank-shifted workload of `tests/engine_equivalence.rs`,
 //! promoted from a private test struct to a shared spec so other suites
-//! (and the proptest strategies that wrap it) describe it once.
+//! (and the property generators that wrap it) describe it once.
 
 use flexio_types::{Datatype, Dt};
 
@@ -37,7 +37,7 @@ impl StridedSpec {
     }
 
     /// Rank `r`'s deterministic payload (the historic byte formula of the
-    /// equivalence suite — pinned proptest regressions depend on it).
+    /// equivalence suite — its recorded counterexample replays with it).
     pub fn data(&self, rank: usize) -> Vec<u8> {
         (0..self.bytes_per_rank())
             .map(|i| ((rank as u64 * 89 + i * 13 + 5) % 247) as u8)

@@ -20,8 +20,9 @@ done
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
-cargo clippy --workspace --all-targets --offline -- -D warnings
+# --all-features: a feature gate whose code does not compile fails here.
+echo "== cargo clippy --workspace --all-targets --all-features --offline -- -D warnings =="
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings
 
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
@@ -34,8 +35,8 @@ echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml =="
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$THOROUGH" = 1 ]; then
-  echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="
-  PROPTEST_CASES=512 cargo test -q --release --offline
+  echo "== PROPTEST_CASES=512 cargo test -q --release --offline --workspace (property sweep) =="
+  PROPTEST_CASES=512 cargo test -q --release --offline --workspace
 
   # Chaos sweep: the fault-injection suite with an explicitly pinned
   # base seed, so a failure here reproduces verbatim from the log.

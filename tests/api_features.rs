@@ -194,6 +194,30 @@ fn set_size_and_preallocate_are_collective() {
 }
 
 #[test]
+fn file_calls_attribute_their_io_time() {
+    // Cached, timed PFS: the sync and close flushes, the rank-0 metadata
+    // calls and the independent write all cost virtual time, and every
+    // nanosecond of it must land in a phase bucket.
+    let pfs = Pfs::new(PfsConfig { client_cache: true, locking: true, ..PfsConfig::default() });
+    let out = run(3, CostModel::default(), move |rank| {
+        let mut f = MpiFile::open(rank, &pfs, "attr", Hints::default()).unwrap();
+        let bt = Datatype::bytes(64);
+        f.set_view(rank.rank() as u64 * 64, &bt, &Datatype::resized(0, 3 * 64, bt.clone()))
+            .unwrap();
+        f.write_at(0, &[rank.rank() as u8; 256], &Datatype::bytes(256), 1).unwrap();
+        f.sync().unwrap();
+        f.write_at(4, &[7u8; 64], &Datatype::bytes(64), 1).unwrap();
+        f.preallocate(1 << 20);
+        f.set_size(1 << 10);
+        f.close().unwrap();
+        (rank.now(), rank.stats())
+    });
+    for (r, (now, s)) in out.iter().enumerate() {
+        assert_eq!(s.phase_ns.iter().sum::<u64>(), *now, "rank {r} phase sum");
+    }
+}
+
+#[test]
 fn engines_agree_on_darray_pattern() {
     let images: Vec<Vec<u8>> = [Engine::Flexible, Engine::Romio]
         .into_iter()

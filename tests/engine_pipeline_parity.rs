@@ -14,7 +14,7 @@
 //! * ROMIO at depth 1 charges *exactly* what the pre-refactor serial
 //!   ROMIO loop charged, pinned number for number by harvested fixtures.
 
-use flexio::core::{Engine, ExchangeMode, Hints, PipelineDepth};
+use flexio::core::{hints_from_info, Engine, ExchangeMode, Hints, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
@@ -317,10 +317,12 @@ fn romio_depth_1_replays_pre_refactor_charge_sequence() {
             ..base.clone()
         });
         assert_charges(&out, want, &format!("romio {aggs} agg depth 1"));
-        // `flexio_double_buffer disable` is the same serial engine,
-        // whatever the depth hint says.
-        let out = fixture_run(Hints { double_buffer: false, ..base });
-        assert_charges(&out, want, &format!("romio {aggs} agg no double buffer"));
+        // Its `flexio_double_buffer disable` alias is the same serial
+        // engine, whatever the depth hint says.
+        let deep = Hints { pipeline_depth: PipelineDepth::Fixed(4), ..base };
+        let alias = hints_from_info(deep, &[("flexio_double_buffer", "disable")]).unwrap();
+        let out = fixture_run(alias);
+        assert_charges(&out, want, &format!("romio {aggs} agg flexio_double_buffer disable"));
     }
 }
 

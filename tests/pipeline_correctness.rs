@@ -1,10 +1,10 @@
 //! Pipelined-engine tests: double buffering must never change the bytes
 //! on disk or the deterministic work counters — only the virtual time.
-//! The serial engine (`flexio_double_buffer disable`) must charge exactly
-//! what the pre-pipeline engine charged, and the pipelined engine must
-//! harvest measurable overlap on cycle-rich workloads.
+//! The serial engine (pipeline depth 1) must charge exactly what the
+//! pre-pipeline engine charged, and the pipelined engine must harvest
+//! measurable overlap on cycle-rich workloads.
 
-use flexio::core::{ExchangeMode, Hints, MpiFile};
+use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Stats, XorShift64Star};
 use flexio::types::Datatype;
@@ -88,10 +88,10 @@ fn pipelined_byte_identical_to_serial() {
     let (nprocs, blocks, steps) = (8, 24, 3);
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
         for cache in [true, false] {
-            let image = |double_buffer: bool| {
+            let image = |pipeline_depth: PipelineDepth| {
                 let pfs = test_pfs();
                 let hints = Hints {
-                    double_buffer,
+                    pipeline_depth,
                     exchange,
                     schedule_cache: cache,
                     cb_nodes: Some(4),
@@ -101,8 +101,8 @@ fn pipelined_byte_identical_to_serial() {
                 let out = roundtrip(&pfs, "pipe", nprocs, blocks, steps, hints);
                 (read_file(&pfs, "pipe"), out)
             };
-            let (img_p, out_p) = image(true);
-            let (img_s, out_s) = image(false);
+            let (img_p, out_p) = image(PipelineDepth::Auto);
+            let (img_s, out_s) = image(PipelineDepth::Fixed(1));
             assert_eq!(
                 img_p, img_s,
                 "file images diverge ({exchange:?}, cache={cache})"
@@ -125,10 +125,10 @@ fn pipelined_counters_match_serial() {
     // messages, and payload bytes must be identical per rank.
     let (nprocs, blocks, steps) = (8, 24, 3);
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        let stats = |double_buffer: bool| {
+        let stats = |pipeline_depth: PipelineDepth| {
             let pfs = test_pfs();
             let hints = Hints {
-                double_buffer,
+                pipeline_depth,
                 exchange,
                 cb_nodes: Some(4),
                 cb_buffer_size: 256,
@@ -136,8 +136,8 @@ fn pipelined_counters_match_serial() {
             };
             roundtrip(&pfs, "cnt", nprocs, blocks, steps, hints)
         };
-        let pipelined = stats(true);
-        let serial = stats(false);
+        let pipelined = stats(PipelineDepth::Auto);
+        let serial = stats(PipelineDepth::Fixed(1));
         for r in 0..nprocs {
             let (p, s) = (&pipelined[r].1, &serial[r].1);
             assert_eq!(p.pairs_processed, s.pairs_processed, "rank {r} pairs ({exchange:?})");
@@ -150,12 +150,11 @@ fn pipelined_counters_match_serial() {
 
 #[test]
 fn serial_engine_never_overlaps() {
-    // `flexio_double_buffer disable` is the strictly serial engine: no
-    // virtual time may be reported as hidden, on any rank, either
-    // direction.
+    // Pipeline depth 1 is the strictly serial engine: no virtual time
+    // may be reported as hidden, on any rank, either direction.
     let pfs = timed_pfs();
     let hints = Hints {
-        double_buffer: false,
+        pipeline_depth: PipelineDepth::Fixed(1),
         cb_nodes: Some(4),
         cb_buffer_size: 256,
         ..Hints::default()
@@ -173,10 +172,10 @@ fn pipelined_saves_time_single_aggregator() {
     // must finish strictly earlier than the serial engine and report the
     // hidden time, while the per-phase buckets still sum to elapsed
     // wall-clock on the aggregator.
-    let elapsed = |double_buffer: bool| {
+    let elapsed = |pipeline_depth: PipelineDepth| {
         let pfs = timed_pfs();
         let hints = Hints {
-            double_buffer,
+            pipeline_depth,
             cb_nodes: Some(1),
             cb_buffer_size: 512, // many fill/drain cycles
             ..Hints::default()
@@ -186,8 +185,8 @@ fn pipelined_saves_time_single_aggregator() {
         let saved: u64 = out.iter().map(|(_, s, _)| s.overlap_saved_ns).sum();
         (now_max, saved)
     };
-    let (t_pipe, saved_pipe) = elapsed(true);
-    let (t_serial, saved_serial) = elapsed(false);
+    let (t_pipe, saved_pipe) = elapsed(PipelineDepth::Auto);
+    let (t_serial, saved_serial) = elapsed(PipelineDepth::Fixed(1));
     assert_eq!(saved_serial, 0);
     assert!(saved_pipe > 0, "pipelined run hid no time");
     assert!(

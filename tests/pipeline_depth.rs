@@ -250,8 +250,8 @@ fn depth_2_replays_pr2_charge_sequence() {
 
 #[test]
 fn depth_1_replays_serial_charge_sequence() {
-    // Depth 1 and `flexio_double_buffer disable` (whatever the depth hint
-    // says) are both the serial engine, charge for charge.
+    // Depth 1 and its `flexio_double_buffer disable` alias (whatever the
+    // depth hint says) are both the serial engine, charge for charge.
     // The fixtures pin the pre-zero-copy packed path's charges.
     let base =
         Hints { cb_nodes: Some(1), cb_buffer_size: 512, zero_copy: false, ..Hints::default() };
@@ -260,8 +260,10 @@ fn depth_1_replays_serial_charge_sequence() {
         ..base.clone()
     });
     assert_fixture(&out, &SERIAL_FIXTURE, "depth 1");
-    let out = fixture_run(Hints { double_buffer: false, ..base });
-    assert_fixture(&out, &SERIAL_FIXTURE, "double_buffer off");
+    let deep = Hints { pipeline_depth: PipelineDepth::Fixed(4), ..base };
+    let alias = hints_from_info(deep, &[("flexio_double_buffer", "disable")]).unwrap();
+    let out = fixture_run(alias);
+    assert_fixture(&out, &SERIAL_FIXTURE, "flexio_double_buffer disable");
 }
 
 #[test]
